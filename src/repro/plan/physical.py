@@ -15,6 +15,7 @@ group-by, scalar aggregation, sort, and limit.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
@@ -257,7 +258,11 @@ def _make_resolver(output: list[OutputColumn]):
 def _substitute_matches(expr: ast.Expr, output: list[OutputColumn]) -> ast.Expr:
     """Replace subtrees matching a child output column (by structural
     key) with a reference to that column.  Enables SELECT/HAVING/ORDER
-    expressions over aggregation results."""
+    expressions over aggregation results.
+
+    Rewrites a copy: ``expr`` belongs to the analyzed statement, which a
+    later re-plan (the feedback loop's) must find as the analyzer left it.
+    """
     by_key = {col.key: col for col in output if col.key is not None}
 
     def rewrite(node: ast.Expr) -> ast.Expr:
@@ -267,6 +272,7 @@ def _substitute_matches(expr: ast.Expr, output: list[OutputColumn]) -> ast.Expr:
             ref.resolved = col.ref
             ref.ty = col.ty
             return ref
+        node = copy.copy(node)
         if isinstance(node, ast.Unary):
             node.operand = rewrite(node.operand)
         elif isinstance(node, ast.Binary):

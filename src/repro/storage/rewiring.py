@@ -16,7 +16,10 @@ This module simulates the mechanism faithfully at the level that matters:
   (``memoryview`` over a NumPy array or ``bytearray``);
 * mapping and re-mapping only update the page table — O(pages), no copies;
 * loads/stores translate a 32-bit address via ``addr >> 16`` into the page
-  table, exactly like an MMU walk.
+  table, exactly like an MMU walk;
+* on request, the space also keeps *typed* page tables: per page, the same
+  bytes as a ``memoryview`` cast to one element format, so an aligned
+  access is a single index instead of a ``struct`` call.
 
 The Wasm runtime's :class:`~repro.wasm.runtime.memory.LinearMemory` is a
 thin facade over an :class:`AddressSpace`.
@@ -24,6 +27,7 @@ thin facade over an :class:`AddressSpace`.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from repro.errors import RewiringError
@@ -50,6 +54,21 @@ class Mapping:
     @property
     def end(self) -> int:
         return self.address + self.npages * WASM_PAGE_SIZE
+
+
+def _typed_page(entry, code: str):
+    """Page ``entry`` cast to element format ``code``, or ``None``.
+
+    The view covers the whole elements the page's backing holds, so an
+    element index past the partially backed end of a mapping raises
+    ``IndexError``, exactly where a ``struct`` read would fail.
+    """
+    if entry is None:
+        return None
+    buf, base = entry
+    width = struct.calcsize(code)
+    end = min(base + WASM_PAGE_SIZE, len(buf))
+    return buf[base:end - (end - base) % width].cast(code)
 
 
 class AddressSpace:
@@ -79,6 +98,8 @@ class AddressSpace:
         self.pages: list[tuple[object, int] | None] = [None] * max_pages
         self._next_page = first_page
         self.mappings: dict[str, Mapping] = {}
+        #: format code -> typed page table, built by :meth:`typed_pages`
+        self._typed: dict[str, list] = {}
 
     # -- mapping ---------------------------------------------------------------
 
@@ -109,7 +130,7 @@ class AddressSpace:
         if name in self.mappings:
             raise RewiringError(f"mapping {name!r} already exists")
         view = memoryview(buffer)
-        if view.ndim != 1 or view.itemsize != 1:
+        if view.ndim != 1 or view.format != "B":
             view = view.cast("B")
         if writable and view.readonly:
             raise RewiringError(f"mapping {name!r}: buffer is read-only")
@@ -118,6 +139,9 @@ class AddressSpace:
         start = self._reserve(npages)
         for p in range(npages):
             self.pages[start + p] = (view, p * WASM_PAGE_SIZE)
+        for code, table in self._typed.items():
+            table.extend([None] * (self._next_page - len(table)))
+            self._retype(table, code, start, npages)
         addr = start * WASM_PAGE_SIZE
         self.mappings[name] = Mapping(name, addr, length)
         return addr
@@ -157,7 +181,7 @@ class AddressSpace:
         except KeyError:
             raise RewiringError(f"unknown mapping {name!r}") from None
         view = memoryview(buffer)
-        if view.ndim != 1 or view.itemsize != 1:
+        if view.ndim != 1 or view.format != "B":
             view = view.cast("B")
         if view.nbytes > mapping.npages * WASM_PAGE_SIZE:
             raise RewiringError(
@@ -170,6 +194,8 @@ class AddressSpace:
                 self.pages[start + p] = (view, p * WASM_PAGE_SIZE)
             else:
                 self.pages[start + p] = None
+        for code, table in self._typed.items():
+            self._retype(table, code, start, mapping.npages)
         mapping.length = view.nbytes
         return mapping.address
 
@@ -183,6 +209,31 @@ class AddressSpace:
         start = mapping.address >> 16
         for p in range(mapping.npages):
             self.pages[start + p] = None
+        for table in self._typed.values():
+            table[start:start + mapping.npages] = [None] * mapping.npages
+
+    def typed_pages(self, code: str) -> list:
+        """The page table seen through ``memoryview.cast(code)``.
+
+        ``code`` is a native-order format; the caller checks the host is
+        little-endian like Wasm.  Entry ``p`` is ``None`` (unmapped) or page ``p``'s backing cast
+        to ``code``, so an access of that element width aligned to it
+        is ``table[addr >> 16][(addr & 0xFFFF) // width]``.  The table
+        is built on first request, holds only the pages mapped so far
+        (a higher page number raises ``IndexError``), and is updated in
+        place by :meth:`map_buffer` (hence :meth:`alloc`), :meth:`remap`
+        and :meth:`unmap`, so generated code may bind it once.
+        """
+        table = self._typed.get(code)
+        if table is None:
+            table = [None] * self._next_page
+            self._retype(table, code, 0, self._next_page)
+            self._typed[code] = table
+        return table
+
+    def _retype(self, table: list, code: str, start: int, npages: int) -> None:
+        for p in range(start, start + npages):
+            table[p] = _typed_page(self.pages[p], code)
 
     def address_of(self, name: str) -> int:
         try:
@@ -211,7 +262,12 @@ class AddressSpace:
         return bytes(out)
 
     def write(self, addr: int, data: bytes) -> None:
-        """Write ``data`` at ``addr`` (may span pages of one buffer)."""
+        """Write ``data`` at ``addr`` (may span pages and mappings).
+
+        The whole range is checked before any byte is written, so a
+        write that fails leaves memory unchanged.
+        """
+        chunks = []
         pos = 0
         size = len(data)
         while pos < size:
@@ -225,6 +281,8 @@ class AddressSpace:
             take = min(size - pos, WASM_PAGE_SIZE - (addr & _PAGE_MASK), len(buf) - off)
             if take <= 0:
                 raise RewiringError(f"write past end of mapping at {addr:#x}")
-            buf[off : off + take] = data[pos : pos + take]
+            chunks.append((buf, off, pos, take))
             addr += take
             pos += take
+        for buf, off, pos, take in chunks:
+            buf[off : off + take] = data[pos : pos + take]

@@ -408,7 +408,12 @@ class Engine:
             instance.stats.turbofan_seconds += time.perf_counter() - start
             return
 
-        if mode in ("stencil", "adaptive_stencil"):
+        # Tier-0 stencils count only instructions into a profile, so a
+        # profiled ladder enters at Liftoff, the first rung that records
+        # branches, memory sites and calls; plain stencil mode has no
+        # other rung and keeps its instruction-only profile.
+        if mode == "stencil" or (mode == "adaptive_stencil"
+                                 and not instrumented):
             if self._compile_stencil(instance):
                 if mode == "adaptive_stencil":
                     for i in range(len(module.functions)):
@@ -416,8 +421,8 @@ class Engine:
                             instance, n_imports + i
                         )
                 return
-            # assembly declined (unsupported op, instrumented run,
-            # injected fault): fall through to the Liftoff path below —
+            # assembly declined (unsupported op, injected fault): fall
+            # through to the Liftoff path below —
             # the retryable StencilError never escapes the engine
 
         # liftoff and the adaptive ladders start (or land) on Liftoff code
@@ -535,9 +540,11 @@ class Engine:
                     self.config.tier_plan[export.name]
                 )
         artifacts = None
-        if any(ladder[0] == "stencil" for ladder in ladders):
-            artifacts = self._stencil_artifacts(instance)
         instrumented = instance.profile is not None
+        if not instrumented and any(ladder[0] == "stencil"
+                                    for ladder in ladders):
+            # (a profiled ladder enters at Liftoff; see _compile_all)
+            artifacts = self._stencil_artifacts(instance)
         injector = self.config.fault_injector
         interp = None
         liftoff = LiftoffCompiler(module)
@@ -617,7 +624,7 @@ class Engine:
                 injector.check("liftoff.compile")
             with trace_span(trace, "compile.liftoff", function=func_index):
                 compiled = LiftoffCompiler(module).compile(
-                    func, func_index, instrumented=False
+                    func, func_index, instance.profile is not None
                 )
             baseline = compiled.bind(instance, instance.profile)
         except CompilationError:

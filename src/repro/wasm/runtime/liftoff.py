@@ -55,10 +55,13 @@ class CompiledFunction:
     #: Memory accesses whose bounds check the compiler proved away
     #: (always 0 for Liftoff, which never runs the range analysis).
     bounds_checks_elided: int = 0
+    #: Typed page tables the code indexes, by ``memoryview`` format code
+    #: (TurboFan only; bound as ``_V<code>`` at :meth:`bind`).
+    views: tuple = ()
 
     def bind(self, instance, profile=None):
         """Instantiate the code against one instance; returns a callable."""
-        namespace = make_namespace(instance, profile)
+        namespace = make_namespace(instance, profile, self.views)
         exec(self.code, namespace)
         fn = namespace[self.entry]
         fn.tier = self.tier
@@ -266,18 +269,23 @@ class LiftoffCompiler:
         base = "st.pop()" if not offset else f"st.pop() + {offset}"
         em.emit(f"a = ({base}) & 4294967295")
         em.emit("e = _pages[a >> 16]")
-        em.emit(f"st.append(_unpack_from({fmt!r}, e[0], e[1] + (a & 65535))[0])")
+        em.emit("try:")
+        em.emit(f"    st.append(_unpack_from({fmt!r}, e[0], e[1] + (a & 65535))[0])")
+        em.emit("except _StructError:")  # ran past the buffer: read across
+        em.emit(f"    st.append(_ldx({fmt!r}, a))")
         if self._instrumented:
             em.emit(f"_Pm({self._new_site('m')!r}, a)")
 
     def _compile_store(self, em: _Emitter, op: str, offset: int) -> None:
         fmt, mask = STORE_FMT[op]
-        em.emit("v = st.pop()")
+        em.emit("v = st.pop()" if mask is None else f"v = st.pop() & {mask}")
         base = "st.pop()" if not offset else f"st.pop() + {offset}"
         em.emit(f"a = ({base}) & 4294967295")
         em.emit("e = _pages[a >> 16]")
-        value = f"v & {mask}" if mask is not None else "v"
-        em.emit(f"_pack_into({fmt!r}, e[0], e[1] + (a & 65535), {value})")
+        em.emit("try:")
+        em.emit(f"    _pack_into({fmt!r}, e[0], e[1] + (a & 65535), v)")
+        em.emit("except _StructError:")
+        em.emit(f"    _stx({fmt!r}, a, v)")
         if self._instrumented:
             em.emit(f"_Pm({self._new_site('m')!r}, a)")
 

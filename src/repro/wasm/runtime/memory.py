@@ -6,10 +6,26 @@ A module's memory is a facade over a
 readable zero-copy — the paper's ``SetModuleMemory()`` patch plus rewiring
 (Section 6).
 
-Two access paths exist:
+Three access paths exist:
 
-* the method API here (used by the reference interpreter and the host),
-* the raw ``pages`` list, inlined by the tier compilers for speed.
+* the method API here (used by the reference interpreter and the host);
+* the raw ``pages`` list, inlined by the tier compilers: ``(buffer,
+  base)`` per 64 KiB page, read and written with ``struct``;
+* typed page tables (:meth:`AddressSpace.typed_pages`), inlined by
+  TurboFan for accesses aligned to their width: per page, the backing
+  bytes as a ``memoryview`` cast to one element format, so an access is
+  ``table[a >> 16][(a & 0xFFFF) >> log2(width)]``.  The address space
+  builds a table on first request, only for the formats compiled code
+  asks for, and keeps it current through mapping, re-wiring and
+  ``memory.grow``.  An aligned access never crosses a page; unaligned
+  ones take the ``struct`` path.
+
+Whatever the path, an access that runs past its page's buffer falls back
+to :meth:`LinearMemory.load_across`/:meth:`LinearMemory.store_across`,
+which read and write byte-wise across mappings — linear memory is one
+consecutive region even where two host buffers meet (``memory.grow``
+maps a fresh buffer after the old end) — and trap only on a byte that is
+unmapped or past the last mapping.
 """
 
 from __future__ import annotations
@@ -94,19 +110,15 @@ class LinearMemory:
     # -- typed access (interpreter / host path) -----------------------------
 
     def load(self, op: str, addr: int) -> int | float:
-        fmt, size = _LOAD_FMT[op]
+        fmt, _ = _LOAD_FMT[op]
         addr &= 0xFFFFFFFF
         try:
             buf, base = self.pages[addr >> 16]
             return struct.unpack_from(fmt, buf, base + (addr & _PAGE_MASK))[0]
         except (TypeError, struct.error, IndexError):
             pass
-        # slow path: crosses a page boundary or is genuinely out of bounds
-        try:
-            raw = self.space.read(addr, size)
-        except Exception:
-            raise Trap("out of bounds memory access", f"load at {addr:#x}") from None
-        return struct.unpack(fmt, raw)[0]
+        # slow path: crosses into another mapping or is out of bounds
+        return self.load_across(fmt, addr)
 
     def store(self, op: str, addr: int, value) -> None:
         fmt, size = _STORE_FMT[op]
@@ -124,6 +136,17 @@ class LinearMemory:
             self.space.write(addr, struct.pack(fmt, value))
         except Exception:
             raise Trap("out of bounds memory access", f"store at {addr:#x}") from None
+
+    # -- slow path of the compiled tiers ------------------------------------
+
+    def load_across(self, fmt: str, addr: int):
+        """``struct`` format ``fmt`` at ``addr``, which ran past the end of
+        its page's buffer: read byte-wise across pages, or trap."""
+        return struct.unpack(fmt, self.read_bytes(addr, struct.calcsize(fmt)))[0]
+
+    def store_across(self, fmt: str, addr: int, value) -> None:
+        """The store counterpart of :meth:`load_across`."""
+        self.write_bytes(addr, struct.pack(fmt, value))
 
     # -- bulk access (host convenience) -----------------------------------------
 

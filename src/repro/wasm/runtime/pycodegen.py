@@ -47,6 +47,13 @@ STORE_FMT = {
     "i64.store32": ("<I", 0xFFFFFFFF),
 }
 
+# One precompiled ``struct.Struct`` per memory format, bound as ``_S<code>``
+# (``_Sq`` for ``"<q"``): TurboFan's path for unaligned accesses.
+_STRUCTS = {
+    f"_S{fmt[1]}": struct.Struct(fmt)
+    for fmt in (*LOAD_FMT.values(), *(fmt for fmt, _ in STORE_FMT.values()))
+}
+
 # Binary operators rendered as Python expressions.  ``{a}``/``{b}`` are the
 # operand sources.  These templates produce *signed-correct* results (they
 # include wrapping); TurboFan additionally has raw (mod-ring) variants.
@@ -242,22 +249,48 @@ BASE_NAMESPACE = {
     "_unpack_from": struct.unpack_from,
     "_pack_into": struct.pack_into,
     "_Trap": Trap,
+    **_STRUCTS,
 }
 
 
-def make_namespace(instance, profile=None) -> dict:
-    """The globals dict compiled code executes in, bound to one instance."""
+def make_namespace(instance, profile=None, views=()) -> dict:
+    """The globals dict compiled code executes in, bound to one instance.
+
+    ``views`` names the typed page tables the code indexes: format code
+    ``c`` is bound as ``_V<c>`` (see :meth:`AddressSpace.typed_pages`).
+    """
     ns = dict(BASE_NAMESPACE)
     ns["_funcs"] = instance.funcs
     ns["_G"] = instance.globals
-    ns["_pages"] = instance.memory.pages if instance.memory is not None else None
-    ns["_memsize"] = (
-        (lambda: instance.memory.size_pages) if instance.memory else None
-    )
-    ns["_memgrow"] = (
-        (lambda d: instance.memory.grow(d)) if instance.memory else None
-    )
+    memory = instance.memory
     ns["_tbl"] = instance.table_lookup
+    if memory is None:
+        ns["_pages"] = ns["_memsize"] = ns["_memgrow"] = None
+    else:
+        pages = ns["_pages"] = memory.pages
+        ns["_memsize"] = lambda: memory.size_pages
+        ns["_memgrow"] = memory.grow
+        ns["_ldx"] = load_across = memory.load_across
+        ns["_stx"] = store_across = memory.store_across
+
+        def _ldu(s, a):
+            e = pages[a >> 16]
+            try:
+                return s.unpack_from(e[0], e[1] + (a & 65535))[0]
+            except struct.error:
+                return load_across(s.format, a)
+
+        def _stu(s, a, v):
+            e = pages[a >> 16]
+            try:
+                s.pack_into(e[0], e[1] + (a & 65535), v)
+            except struct.error:
+                store_across(s.format, a, v)
+
+        ns["_ldu"] = _ldu
+        ns["_stu"] = _stu
+        for code in views:
+            ns[f"_V{code}"] = memory.space.typed_pages(code)
 
     def _trap(kind, message=""):
         raise Trap(kind, message)

@@ -21,6 +21,17 @@ considerably faster code than Liftoff.  The pipeline:
    only genuinely multi-level branches pay for the pending-depth cascade.
 5. **Dead code elimination** — unused pure temporaries are deleted
    (fixpoint over the emitted statements).
+6. **Typed memory access** — a load or store aligned to its width is one
+   index into a per-page ``memoryview.cast`` table
+   (``_Vq[a >> 16][(a & 65535) >> 3]``); a runtime ``a & (width - 1)``
+   guard sends unaligned accesses to a precompiled ``struct.Struct``.
+7. **Constant-operand inlining** — ``f32/f64.div`` by a nonzero finite
+   constant is a plain ``/``, ``i32/i64.div_s`` by a positive constant is
+   inline truncating division, ``rotl``/``rotr`` by a constant is a
+   wrapped shift-or and ``shr_u`` by a constant a masked shift.
+
+Instrumented (profiling) compiles skip 6 and 7: their source is the
+scalar ``struct`` form the cost model was calibrated on.
 
 The emitted source is compiled with ``compile()``; binding happens per
 instance, exactly like the Liftoff tier.
@@ -28,7 +39,10 @@ instance, exactly like the Liftoff tier.
 
 from __future__ import annotations
 
+import math
 import re
+import struct
+import sys
 
 from repro.errors import CompilationError, Trap
 from repro.observability.metrics import get_registry
@@ -49,6 +63,8 @@ from repro.wasm.runtime.pycodegen import RING_OPS_64
 __all__ = ["TurboFanCompiler"]
 
 _NO_CONST = object()
+# typed views index memory in native byte order; Wasm is little-endian
+_TYPED_VIEWS = sys.byteorder == "little"
 _MAX_EXPR_LEN = 240  # spill huge expressions to keep lines/evaluation sane
 
 # Operators that may trap at runtime: their evaluation is an *effect* and
@@ -192,6 +208,8 @@ class TurboFanCompiler:
         self._offsets, self._facts = self._analyze_bounds(func)
         self._cur_off: int | None = None
         self._elided = 0
+        self._typed = _TYPED_VIEWS and not instrumented
+        self._views: set[str] = set()
         em = self._em
 
         params = ", ".join(f"L{i}" for i in range(len(func_type.params)))
@@ -247,7 +265,8 @@ class TurboFanCompiler:
                 "Per-access bounds checks proved away by TurboFan",
             ).inc(self._elided)
         return CompiledFunction(name, self.tier_name, source, entry, code,
-                                bounds_checks_elided=self._elided)
+                                bounds_checks_elided=self._elided,
+                                views=tuple(sorted(self._views)))
 
     # -------------------------------------------------------- emission helpers --
 
@@ -374,6 +393,46 @@ class TurboFanCompiler:
         src = "(" + SIMPLE_BINOPS[op].format(a=a.src, b=b.src) + ")"
         return _Val(src, result_ty, locals_read=reads)
 
+    def _const_rhs(self, op: str, a: _Val, b: _Val) -> _Val | None:
+        """Inline ``op`` when only its right operand is a constant and the
+        helper it would call reduces to plain Python for that constant;
+        ``None`` otherwise.  The inlined forms cannot trap."""
+        if self._instrumented or not b.is_const or a.is_const:
+            return None
+        ty, kind = op.split(".", 1)
+        c = b.const
+        if kind == "div" and ty in ("f32", "f64"):
+            # _fdiv special-cases only a zero divisor; NaN and the
+            # infinities are left to the helper (no literal syntax)
+            if c == 0 or not math.isfinite(c):
+                return None
+            src = f"({a.src} / {_const_val(c, ty).src})"
+            if ty == "f32":
+                src = f"_f32r{src}"
+            return _Val(src, ty, locals_read=a.locals_read)
+        if kind == "div_s" and c > 0:
+            # truncating division; no overflow (INT_MIN / -1) or zero
+            x = self._materialize(a).src
+            return _Val(f"({x} // {c} if {x} >= 0 else -(-{x} // {c}))", ty,
+                        locals_read=a.locals_read)
+        if kind in ("rotl", "rotr", "shr_u"):
+            bits = 32 if ty == "i32" else 64
+            mask = (1 << bits) - 1
+            k = c & (bits - 1)
+            if not k:
+                return a
+            if kind == "shr_u":
+                # below 2**(bits - 1): already a signed value
+                return _Val(f"(({a.raw} & {mask}) >> {k})", ty,
+                            locals_read=a.locals_read)
+            if kind == "rotr":
+                k = bits - k
+            x = self._materialize(a).src
+            rotated = f"(({x} << {k}) | (({x} & {mask}) >> {bits - k}))"
+            return _Val(_wrap_src(rotated, bits), ty,
+                        locals_read=a.locals_read)
+        return None
+
     def _unop(self, op: str, a: _Val) -> _Val:
         result_ty = (
             "i32" if op in ("i32.eqz", "i64.eqz") or op.startswith("i32.")
@@ -462,12 +521,14 @@ class TurboFanCompiler:
             elif op in SIMPLE_BINOPS:
                 b = stack.pop()
                 a = stack.pop()
-                result = self._binop(op, a, b)
-                if op in _TRAPPING_OPS and not result.is_const:
-                    # traps must fire at the instruction's position, even
-                    # if the value is later discarded — evaluate eagerly
-                    # into a temp that DCE will not touch
-                    result = self._materialize_effect(result)
+                result = self._const_rhs(op, a, b)
+                if result is None:
+                    result = self._binop(op, a, b)
+                    if op in _TRAPPING_OPS and not result.is_const:
+                        # traps must fire at the instruction's position,
+                        # even if the value is later discarded — evaluate
+                        # eagerly into a temp that DCE will not touch
+                        result = self._materialize_effect(result)
                 self._push(stack, result)
             elif op in SIMPLE_UNOPS or op == "i32.eqz" or op == "i64.eqz":
                 a = stack.pop()
@@ -553,6 +614,17 @@ class TurboFanCompiler:
         min_bytes = self.module.memories[0].minimum * 65536
         return addr.hi + offset + fact.access_size <= min_bytes
 
+    def _typed_access(self, fmt: str, a: str) -> tuple[str, int]:
+        """The typed-view element for an access of ``fmt`` at ``a``,
+        valid when ``a`` is aligned to the returned width."""
+        code = fmt[1]
+        width = struct.calcsize(fmt)
+        self._views.add(code)
+        if width == 1:
+            return f"_V{code}[{a} >> 16][{a} & 65535]", width
+        shift = width.bit_length() - 1
+        return f"_V{code}[{a} >> 16][({a} & 65535) >> {shift}]", width
+
     def _compile_load(self, op: str, offset: int, stack: list[_Val]) -> None:
         fmt = LOAD_FMT[op]
         addr = stack.pop()
@@ -564,8 +636,16 @@ class TurboFanCompiler:
             self._emit(f"{a} = {addr_src}")
         else:
             self._emit(f"{a} = ({addr_src}) & 4294967295")
-        self._emit(f"e = _pages[{a} >> 16]")
-        self._emit(f"{t} = _unpack_from({fmt!r}, e[0], e[1] + ({a} & 65535))[0]")
+        if self._typed:
+            view, width = self._typed_access(fmt, a)
+            if width > 1:
+                view += f" if not {a} & {width - 1} else _ldu(_S{fmt[1]}, {a})"
+            self._emit(f"{t} = {view}")
+        else:
+            self._emit(f"e = _pages[{a} >> 16]")
+            self._emit(
+                f"{t} = _unpack_from({fmt!r}, e[0], e[1] + ({a} & 65535))[0]"
+            )
         if self._instrumented:
             self._emit(f"_Pm({self._new_site('m')!r}, {a})")
         ty = op.split(".")[0]
@@ -582,9 +662,23 @@ class TurboFanCompiler:
             self._emit(f"{a} = {addr_src}")
         else:
             self._emit(f"{a} = ({addr_src}) & 4294967295")
-        self._emit(f"e = _pages[{a} >> 16]")
         value_src = f"{value.raw} & {mask}" if mask is not None else value.src
-        self._emit(f"_pack_into({fmt!r}, e[0], e[1] + ({a} & 65535), {value_src})")
+        # f32 stays on struct: a memoryview stores an out-of-range float
+        # as inf where struct.pack raises
+        if self._typed and op != "f32.store":
+            view, width = self._typed_access(fmt, a)
+            if width == 1:
+                self._emit(f"{view} = {value_src}")
+            else:
+                self._emit(f"if {a} & {width - 1}:")
+                self._emit(f"    _stu(_S{fmt[1]}, {a}, {value_src})")
+                self._emit("else:")
+                self._emit(f"    {view} = {value_src}")
+        else:
+            self._emit(f"e = _pages[{a} >> 16]")
+            self._emit(
+                f"_pack_into({fmt!r}, e[0], e[1] + ({a} & 65535), {value_src})"
+            )
         if self._instrumented:
             self._emit(f"_Pm({self._new_site('m')!r}, {a})")
 

@@ -183,8 +183,11 @@ def popcnt64(a: int) -> int:
 # -- floating point ------------------------------------------------------------------
 
 def f32round(x: float) -> float:
-    """Round a Python float to f32 precision."""
-    return struct.unpack("<f", struct.pack("<f", x))[0]
+    """Round a Python float to f32 precision (beyond its range: ±inf)."""
+    try:
+        return struct.unpack("<f", struct.pack("<f", x))[0]
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def fdiv(a: float, b: float) -> float:

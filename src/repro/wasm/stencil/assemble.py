@@ -85,6 +85,7 @@ class StencilFunction:
             (lambda: memory.size_pages) if memory is not None else None,
             memory.grow if memory is not None else None,
             instance.table_lookup,
+            memory,
         )
         code = self.code
         n = len(code)

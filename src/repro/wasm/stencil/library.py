@@ -30,6 +30,7 @@ page table, ``struct`` (un)pack within the page.
 
 from __future__ import annotations
 
+from struct import error as struct_error
 from struct import pack_into, unpack_from
 
 from repro.errors import Trap
@@ -40,7 +41,7 @@ from repro.wasm.runtime.pycodegen import LOAD_FMT, STORE_FMT
 __all__ = [
     "BINOP_FNS", "UNOP_FNS",
     "CTX_FUNCS", "CTX_GLOBALS", "CTX_PAGES", "CTX_MEMSIZE", "CTX_MEMGROW",
-    "CTX_TABLE",
+    "CTX_TABLE", "CTX_MEMORY",
 ]
 
 # Indices into the per-instance ctx tuple bound at bind() time.
@@ -50,6 +51,7 @@ CTX_PAGES = 2     # instance.memory.pages — the rewired page table
 CTX_MEMSIZE = 3   # () -> pages
 CTX_MEMGROW = 4   # (delta) -> old pages | -1
 CTX_TABLE = 5     # instance.table_lookup (call_indirect resolution)
+CTX_MEMORY = 6    # instance.memory — slow path of accesses past a buffer
 
 #: Exact-semantics operator implementations, shared with the oracle.
 BINOP_FNS = _BINOPS
@@ -141,7 +143,8 @@ def unreachable(nip):
 
 # -- memory stencils ---------------------------------------------------------
 # Byte-for-byte the Liftoff fast path: the surrounding dispatch loop maps
-# (TypeError, IndexError, struct.error) to the out-of-bounds trap.
+# (TypeError, IndexError, struct.error) to the out-of-bounds trap, and an
+# access that runs past its page's buffer reads/writes across mappings.
 
 def load(op_name, offset, nip):
     fmt = LOAD_FMT[op_name]
@@ -149,13 +152,19 @@ def load(op_name, offset, nip):
         def op(st, L, ctx):
             a = (st.pop() + offset) & 4294967295
             e = ctx[2][a >> 16]
-            st.append(unpack_from(fmt, e[0], e[1] + (a & 65535))[0])
+            try:
+                st.append(unpack_from(fmt, e[0], e[1] + (a & 65535))[0])
+            except struct_error:
+                st.append(ctx[6].load_across(fmt, a))
             return nip
     else:
         def op(st, L, ctx):
             a = st.pop() & 4294967295
             e = ctx[2][a >> 16]
-            st.append(unpack_from(fmt, e[0], e[1] + (a & 65535))[0])
+            try:
+                st.append(unpack_from(fmt, e[0], e[1] + (a & 65535))[0])
+            except struct_error:
+                st.append(ctx[6].load_across(fmt, a))
             return nip
     return op
 
@@ -164,17 +173,23 @@ def store(op_name, offset, nip):
     fmt, mask = STORE_FMT[op_name]
     if mask is not None:
         def op(st, L, ctx):
-            v = st.pop()
+            v = st.pop() & mask
             a = (st.pop() + offset) & 4294967295
             e = ctx[2][a >> 16]
-            pack_into(fmt, e[0], e[1] + (a & 65535), v & mask)
+            try:
+                pack_into(fmt, e[0], e[1] + (a & 65535), v)
+            except struct_error:
+                ctx[6].store_across(fmt, a, v)
             return nip
     else:
         def op(st, L, ctx):
             v = st.pop()
             a = (st.pop() + offset) & 4294967295
             e = ctx[2][a >> 16]
-            pack_into(fmt, e[0], e[1] + (a & 65535), v)
+            try:
+                pack_into(fmt, e[0], e[1] + (a & 65535), v)
+            except struct_error:
+                ctx[6].store_across(fmt, a, v)
             return nip
     return op
 

@@ -122,3 +122,44 @@ class TestDifferentialCorpus:
                 subject.execute(f"EXECUTE p({arg})", session=s_session)
             )
             assert got == expected, arg
+
+
+class TestTpchThroughTheService:
+    """The production path on TPC-H: feedback on, TurboFan code (forced,
+    or reached by the default ladder), and the vectorized engine as the
+    oracle.  q14's expression over aggregates is what once failed the
+    in-place re-plan on the default engine."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        from repro.bench.tpch import QUERIES, tpch_database
+
+        db = tpch_database(scale_factor=0.002, seed=1)
+        return db, {name: _rounded(db.execute(sql, engine="vectorized"))
+                    for name, sql in QUERIES.items()
+                    if name in ("q1", "q3", "q6", "q12", "q14")}
+
+    @pytest.mark.parametrize("spec,feedback", [
+        ("wasm[turbofan]", True),
+        ("wasm[turbofan]", AGGRESSIVE),
+        ("wasm[adaptive_stencil]", True),
+    ], ids=["turbofan", "turbofan-aggressive", "default-engine"])
+    def test_wasm_matches_vectorized(self, oracle, spec, feedback):
+        from repro.bench.tpch import QUERIES
+
+        db, expected = oracle
+        subject = QueryService(db, default_engine=spec, feedback=feedback)
+        try:
+            for name, want in expected.items():
+                for run in range(3):
+                    got = _rounded(subject.execute(QUERIES[name]))
+                    assert got == want, (name, run)
+            stats = subject.feedback.stats()["fingerprints"]
+            assert any(entry["replanned"] for entry in stats.values())
+        finally:
+            subject.close()
+
+
+def _rounded(result):
+    return [tuple(round(v, 6) if isinstance(v, float) else v for v in row)
+            for row in result.rows]
